@@ -59,11 +59,16 @@ DEFAULT_BENCH_PATH = "BENCH_perf.json"
 
 
 def bench_commit() -> str:
-    """Short git commit hash, or ``"unknown"`` outside a checkout."""
+    """Short git commit hash, or ``"unknown"`` outside a checkout.
+
+    The hash carries a ``-dirty`` suffix when tracked files differ from
+    that commit, so figures measured on uncommitted changes are never
+    credited to the commit they sit on.
+    """
     try:
         return (
             subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
+                ["git", "describe", "--always", "--dirty", "--exclude=*"],
                 capture_output=True,
                 text=True,
                 timeout=10,
@@ -847,6 +852,7 @@ def _bench_fleet(results, rounds, commit, quick, notes) -> None:
     # Scale tier: regions sized so each hosts ~125 nodes; arrival rate
     # keeps the per-region radio at the same utilization as the defaults
     # (30 arrivals/s over 8 regions).
+    scale_rounds = max(3, rounds)
     for label, n_nodes in (("edgesim_fleet_10k", 10_000), ("edgesim_fleet_100k", 100_000)):
         n_regions = n_nodes // 125
         config = FleetConfig(
@@ -857,11 +863,16 @@ def _bench_fleet(results, rounds, commit, quick, notes) -> None:
             churn_rate_hz=2.0,
             seed=0,
         )
-        simulator = FleetSimulator.build(config)
-        # One round per scale point: the run is seconds long and the
-        # extras (events/sec, RSS) matter more than timing variance.
-        scale_rounds = 1
-        mean_s, std_s, fleet_run = _timed(simulator.run_fleet, scale_rounds)
+        # One untimed warm-up, then fresh simulators for every timed round
+        # (built outside the timing) so std_s reflects run-to-run noise.
+        FleetSimulator.build(config).run_fleet()
+        samples = []
+        for _ in range(scale_rounds):
+            simulator = FleetSimulator.build(config)
+            started = time.perf_counter()
+            fleet_run = simulator.run_fleet()
+            samples.append(time.perf_counter() - started)
+        mean_s, std_s = float(np.mean(samples)), float(np.std(samples))
         rss_mib = peak_rss_mib()
         record(
             results,

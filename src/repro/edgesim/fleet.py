@@ -66,15 +66,105 @@ _F_RECOVER = 4
 _F_REFILL = 5
 
 
-def _fifo_ends(ready: np.ndarray, durations: np.ndarray, busy0: float) -> np.ndarray:
-    """Completion times of a FIFO resource serving jobs in array order.
+def _segments(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of equal keys in a sorted key column.
 
-    Solves ``end_i = max(ready_i, end_{i-1}) + d_i`` (with ``end_0``
-    seeded by ``busy0``) without a Python loop: with ``s = cumsum(d)``,
-    ``end_i = s_i + max_{j<=i} max(busy0, ready_j - s_{j-1})``.
+    Returns ``(starts, lengths, seg, col)``: each run's first index and
+    length, and for every element its run (segment) index and its column
+    within that run.
     """
-    s = np.cumsum(durations)
-    return s + np.maximum.accumulate(np.maximum(ready - (s - durations), busy0))
+    n = len(sorted_keys)
+    head = np.empty(n, dtype=bool)
+    head[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    starts = head.nonzero()[0]
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = n - starts[-1]
+    seg = np.cumsum(head) - 1
+    return starts, lengths, seg, np.arange(n) - starts[seg]
+
+
+def _segmented_fifo(
+    seg: np.ndarray, col: np.ndarray, lengths: np.ndarray, ready: np.ndarray,
+    durations: np.ndarray, busy: np.ndarray,
+) -> np.ndarray:
+    """Completion times of one FIFO resource per segment, all at once.
+
+    Segment ``k`` is the ``lengths[k]`` elements with ``seg == k`` in
+    ``col`` order (a key-sorted cohort, see :func:`_segments`), served by
+    a resource that is busy until ``busy[k]``. Each segment solves
+    ``end_i = max(ready_i, end_{i-1}) + d_i`` (``end_{-1} = busy[k]``)
+    without a Python loop: with ``s = cumsum(d)``, ``end_i = s_i +
+    max_{j<=i} max(busy[k], ready_j - s_{j-1})``.
+
+    Segments are the rows of a padded ``(segments, width)`` layout, and
+    ``cumsum`` / ``maximum.accumulate`` run along ``axis=1``. Along a row
+    these are the same left-to-right IEEE-754 operations the 1-D
+    recurrence performs on that segment alone, and padding sits after
+    each row's last element (zero for the sum, ``-inf`` for the max), so
+    every result is bitwise what a per-segment pass would give. A
+    one-element segment reduces to ``d + max(ready, busy)``.
+    """
+    shape = (len(busy), int(lengths.max()))
+    cum = np.zeros(shape)
+    cum[seg, col] = durations
+    np.cumsum(cum, axis=1, out=cum)
+    s = cum[seg, col]
+    slack = np.full(shape, -np.inf)
+    slack[seg, col] = ready - (s - durations)
+    np.maximum(slack, busy[:, None], out=slack)
+    return s + np.maximum.accumulate(slack, axis=1)[seg, col]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+
+
+def _pick_nodes(
+    members: np.ndarray,
+    member_start: np.ndarray,
+    member_count: np.ndarray,
+    pointer: np.ndarray,
+    alive: np.ndarray,
+    seg_regions: np.ndarray,
+    lengths: np.ndarray,
+    seg: np.ndarray,
+    col: np.ndarray,
+) -> np.ndarray:
+    """Round-robin node picks for a region-sorted cohort, every region at once.
+
+    Region ``r`` owns ``members[member_start[r]:][:member_count[r]]`` and a
+    round-robin ``pointer[r]``; its segment of ``lengths[k]`` tasks takes
+    the next members in turn and advances the pointer (in place). A pick
+    that lands on a dead node is replaced by the alive member at the same
+    round-robin offset among the region's alive members; a region with no
+    alive member returns ``-1`` for all its tasks.
+    """
+    regions = seg_regions[seg]
+    base = pointer[regions]
+    count = member_count[regions]
+    chosen = members[member_start[regions] + (base + col) % count]
+    pointer[seg_regions] = (pointer[seg_regions] + lengths) % member_count[seg_regions]
+    dead = (~alive[chosen]).nonzero()[0]
+    if len(dead) == 0:
+        return chosen
+    # Rare: only regions where a dead node came up gather their alive members.
+    hit = np.unique(seg[dead])
+    hit_count = member_count[seg_regions[hit]]
+    pool = members[_ranges(member_start[seg_regions[hit]], hit_count)]
+    live = alive[pool]
+    n_live = np.add.reduceat(live.astype(np.int64), np.cumsum(hit_count) - hit_count)
+    live_pool = pool[live]
+    h = np.searchsorted(hit, seg[dead])
+    k = n_live[h]
+    up = k > 0
+    offset = (np.cumsum(n_live) - n_live)[h] + (base[dead] + col[dead]) % np.maximum(k, 1)
+    chosen[dead[up]] = live_pool[offset[up]]
+    chosen[dead[~up]] = -1
+    return chosen
 
 
 @dataclass(frozen=True)
@@ -311,9 +401,9 @@ class FleetSimulator:
         preset/region columns; the sharded runner passes slices of the
         whole-fleet columns (attached zero-copy from shared memory) so
         each region group sees exactly the node population it would own
-        in a single-process run. Callers passing ``region`` are
-        responsible for it being 0-based and dense over
-        ``config.n_regions``.
+        in a single-process run. A ``region`` column must be 0-based and
+        give every one of ``config.n_regions`` regions at least one node;
+        anything else raises :class:`ConfigurationError`.
         """
         sim = cls.__new__(cls)
         sim.nodes = {}
@@ -342,15 +432,23 @@ class FleetSimulator:
                 raise ConfigurationError(
                     f"region column has {len(region)} entries, config says {n}"
                 )
+        if region.min() < 0 or region.max() >= config.n_regions:
+            raise ConfigurationError(
+                f"region ids must lie in [0, {config.n_regions}), got "
+                f"[{region.min()}, {region.max()}]"
+            )
+        counts = np.bincount(region, minlength=config.n_regions)
+        if not counts.all():
+            raise ConfigurationError(
+                f"regions {np.flatnonzero(counts == 0).tolist()} have no nodes"
+            )
         sim._c_s_per_bit = s_per_bit
         sim._c_region = region
-        sim._c_alive = np.ones(n, dtype=bool)
-        sim._c_incarnation = np.zeros(n, dtype=np.int64)
-        sim._c_busy_until = np.zeros(n, dtype=np.float64)
-        sim._region_nodes = [
-            np.flatnonzero(sim._c_region == r) for r in range(config.n_regions)
-        ]
-        sim._region_rr = [0] * config.n_regions
+        # Member table: region r's nodes (ascending ids) are
+        # _m_nodes[_m_start[r] : _m_start[r] + _m_count[r]].
+        sim._m_nodes = np.argsort(region, kind="stable")
+        sim._m_count = counts
+        sim._m_start = np.cumsum(counts) - counts
         return sim
 
     # ------------------------------------------------------------------
@@ -558,22 +656,6 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     # Fleet mode: open-loop arrivals, churn, streaming metrics.
     # ------------------------------------------------------------------
-    def _pick_nodes(self, region: int, k: int) -> np.ndarray:
-        """Round-robin ``k`` alive nodes of ``region`` (-1 = region down)."""
-        members = self._region_nodes[region]
-        m = len(members)
-        pointer = self._region_rr[region]
-        chosen = members[(pointer + np.arange(k)) % m]
-        self._region_rr[region] = (pointer + k) % m
-        dead = np.flatnonzero(~self._c_alive[chosen])
-        if len(dead):
-            alive_members = members[self._c_alive[members]]
-            if len(alive_members) == 0:
-                return np.full(k, -1, dtype=np.int64)
-            chosen = chosen.copy()
-            chosen[dead] = alive_members[(pointer + dead) % len(alive_members)]
-        return chosen
-
     def run_fleet(self, *, trace=None) -> FleetResult:
         """Run the open-loop fleet simulation described by the config.
 
@@ -647,6 +729,12 @@ class FleetSimulator:
 
         calendar = CalendarQueue(config.bucket_s)
         slots = _SlotPool(min(4096, max(64, config.chunk)))
+        # Per-run node and radio state, fresh each run so repeated runs of
+        # one simulator give identical results.
+        alive = np.ones(config.n_nodes, dtype=bool)
+        incarnation = np.zeros(config.n_nodes, dtype=np.int64)
+        busy_until = np.zeros(config.n_nodes, dtype=np.float64)
+        rr_pointer = np.zeros(n_regions, dtype=np.int64)
         radio_busy = np.zeros(n_regions, dtype=np.float64)
         backhaul_latency = network.backhaul.latency_s
         backhaul_bw = network.backhaul.bandwidth_mbps
@@ -725,53 +813,50 @@ class FleetSimulator:
         def route(times: np.ndarray, slot_ids: np.ndarray, regions: np.ndarray) -> None:
             """Assign nodes and push transfers through each region's radio.
 
-            One argsort-split groups the cohort by region (stable, so
-            per-region time order is preserved for the radio FIFO); all
-            transfer completions go back to the calendar as one batch.
+            One stable argsort groups the cohort by region (preserving
+            per-region time order for the radio FIFO); node picks and the
+            radio FIFOs of all regions then run as one vectorized pass,
+            and all transfer completions go back to the calendar as one
+            batch in region-sorted order.
             """
             nonlocal dropped, in_flight
             order = np.argsort(regions, kind="stable")
-            sorted_regions = regions[order]
-            unique, starts = np.unique(sorted_regions, return_index=True)
-            boundaries = np.append(starts, len(order))
-            all_ends: list[np.ndarray] = []
-            all_slots: list[np.ndarray] = []
-            for i, region in enumerate(unique):
-                segment = order[boundaries[i] : boundaries[i + 1]]
-                region_times = times[segment]
-                region_slots = slot_ids[segment]
-                nodes = self._pick_nodes(int(region), len(region_slots))
-                down = nodes < 0
-                if down.any():
-                    lost = region_slots[down]
-                    dropped += len(lost)
-                    dropped_counter.inc(len(lost))
-                    in_flight -= len(lost)
-                    slots.free(lost)
-                    keep = ~down
-                    region_times = region_times[keep]
-                    region_slots = region_slots[keep]
-                    nodes = nodes[keep]
-                    if len(region_slots) == 0:
-                        continue
-                slots.node[region_slots] = nodes
-                slots.incarnation[region_slots] = self._c_incarnation[nodes]
-                sizes = slots.size_mbit[region_slots]
-                ready = region_times + (backhaul_latency + sizes / backhaul_bw)
-                access_durations = access_latency + sizes / access_bw
-                ends = _fifo_ends(ready, access_durations, radio_busy[region])
-                radio_busy[region] = float(ends[-1])
-                all_ends.append(ends)
-                all_slots.append(region_slots)
-            if all_ends:
-                ends = np.concatenate(all_ends)
-                batch_slots = np.concatenate(all_slots)
-                calendar.schedule_batch(
-                    ends,
-                    np.full(len(ends), _F_XFER_DONE, dtype=np.int32),
-                    batch_slots,
-                    np.zeros(len(ends), dtype=np.int64),
+            times, slot_ids, regions = times[order], slot_ids[order], regions[order]
+            starts, lengths, seg, col = _segments(regions)
+            nodes = _pick_nodes(
+                self._m_nodes, self._m_start, self._m_count, rr_pointer, alive,
+                regions[starts], lengths, seg, col,
+            )
+            down = nodes < 0
+            if down.any():
+                lost = slot_ids[down]
+                dropped += len(lost)
+                dropped_counter.inc(len(lost))
+                in_flight -= len(lost)
+                slots.free(lost)
+                keep = ~down
+                if not keep.any():
+                    return
+                times, slot_ids, regions, nodes = (
+                    times[keep], slot_ids[keep], regions[keep], nodes[keep]
                 )
+                starts, lengths, seg, col = _segments(regions)
+            slots.node[slot_ids] = nodes
+            slots.incarnation[slot_ids] = incarnation[nodes]
+            sizes = slots.size_mbit[slot_ids]
+            ready = times + (backhaul_latency + sizes / backhaul_bw)
+            access_durations = access_latency + sizes / access_bw
+            seg_regions = regions[starts]
+            ends = _segmented_fifo(
+                seg, col, lengths, ready, access_durations, radio_busy[seg_regions]
+            )
+            radio_busy[seg_regions] = ends[starts + lengths - 1]
+            calendar.schedule_batch(
+                ends,
+                np.full(len(ends), _F_XFER_DONE, dtype=np.int32),
+                slot_ids,
+                np.zeros(len(ends), dtype=np.int64),
+            )
 
         def redispatch(times: np.ndarray, slot_ids: np.ndarray) -> None:
             """Churn-lost work: fresh transfer to a survivor (same region)."""
@@ -815,33 +900,25 @@ class FleetSimulator:
                 route(times, a, regions)
             elif kind == _F_XFER_DONE:
                 nodes = slots.node[a]
-                valid = self._c_alive[nodes] & (
-                    slots.incarnation[a] == self._c_incarnation[nodes]
-                )
+                valid = alive[nodes] & (slots.incarnation[a] == incarnation[nodes])
                 if not valid.all():
                     redispatch(times[~valid], a[~valid])
                     times, a, nodes = times[valid], a[valid], nodes[valid]
                 if len(a) == 0:
                     continue
                 durations = (slots.size_mbit[a] * 1e6) * self._c_s_per_bit[nodes]
+                # Each node's FIFO, all nodes in one segmented pass.
                 order = np.argsort(nodes, kind="stable")
                 sorted_nodes = nodes[order]
-                unique, starts = np.unique(sorted_nodes, return_index=True)
-                if len(unique) == len(nodes):
-                    ends = np.maximum(times, self._c_busy_until[nodes]) + durations
-                    self._c_busy_until[nodes] = ends
-                else:
-                    ends = np.empty(len(nodes), dtype=np.float64)
-                    boundaries = np.append(starts, len(sorted_nodes))
-                    for i, node in enumerate(unique):
-                        segment = order[boundaries[i] : boundaries[i + 1]]
-                        node_ends = _fifo_ends(
-                            times[segment],
-                            durations[segment],
-                            float(self._c_busy_until[node]),
-                        )
-                        ends[segment] = node_ends
-                        self._c_busy_until[node] = float(node_ends[-1])
+                starts, lengths, seg, col = _segments(sorted_nodes)
+                seg_nodes = sorted_nodes[starts]
+                sorted_ends = _segmented_fifo(
+                    seg, col, lengths, times[order], durations[order],
+                    busy_until[seg_nodes],
+                )
+                busy_until[seg_nodes] = sorted_ends[starts + lengths - 1]
+                ends = np.empty_like(sorted_ends)
+                ends[order] = sorted_ends
                 calendar.schedule_batch(
                     ends,
                     np.full(len(ends), _F_EXEC_DONE, dtype=np.int32),
@@ -850,9 +927,7 @@ class FleetSimulator:
                 )
             elif kind == _F_EXEC_DONE:
                 nodes = slots.node[a]
-                valid = self._c_alive[nodes] & (
-                    slots.incarnation[a] == self._c_incarnation[nodes]
-                )
+                valid = alive[nodes] & (slots.incarnation[a] == incarnation[nodes])
                 if not valid.all():
                     redispatch(times[~valid], a[~valid])
                     times, a = times[valid], a[valid]
@@ -882,24 +957,31 @@ class FleetSimulator:
                         )
                 slots.free(a)
             elif kind == _F_FAIL:
-                for index in range(len(a)):
-                    node = int(a[index])
-                    if not self._c_alive[node]:
-                        continue
-                    self._c_alive[node] = False
-                    self._c_incarnation[node] += 1
-                    failures += 1
-                    failure_counter.inc()
-                    calendar.schedule(
-                        float(times[index]) + config.recovery_s, _F_RECOVER, node
-                    )
+                # A node fails at its first occurrence in the cohort if it
+                # is up; repeats (and nodes already down) are no-ops.
+                first = np.zeros(len(a), dtype=bool)
+                first[np.unique(a, return_index=True)[1]] = True
+                hit = np.flatnonzero(first & alive[a])
+                if len(hit) == 0:
+                    continue
+                victims = a[hit]
+                alive[victims] = False
+                incarnation[victims] += 1
+                failures += len(hit)
+                failure_counter.inc(len(hit))
+                calendar.schedule_batch(
+                    times[hit] + config.recovery_s,
+                    np.full(len(hit), _F_RECOVER, dtype=np.int32),
+                    victims,
+                    np.zeros(len(hit), dtype=np.int64),
+                )
             elif kind == _F_RECOVER:
-                for index in range(len(a)):
-                    node = int(a[index])
-                    self._c_alive[node] = True
-                    self._c_busy_until[node] = float(times[index])
-                    recoveries += 1
-                    recovery_counter.inc()
+                # A node has at most one pending recovery, so a cohort
+                # holds distinct nodes.
+                alive[a] = True
+                busy_until[a] = times
+                recoveries += len(a)
+                recovery_counter.inc(len(a))
             elif kind == _F_REFILL:
                 refill()
             else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.cli import main
 from repro.core.bench import (
     DEFAULT_THRESHOLD,
     MIN_GATED_SECONDS,
+    bench_commit,
     PER_BENCH_THRESHOLD,
     check_regressions,
     load_bench_json,
@@ -19,6 +21,27 @@ from repro.core.bench import (
 
 def _entry(mean_s, std_s=0.0, rounds=3):
     return {"mean_s": mean_s, "std_s": std_s, "rounds": rounds, "commit": "abc"}
+
+
+def test_bench_commit_marks_uncommitted_changes(tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    (tmp_path / "f.txt").write_text("a")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "one")
+    head = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"], cwd=tmp_path, check=True,
+        capture_output=True, text=True,
+    ).stdout.strip()
+    monkeypatch.chdir(tmp_path)
+    assert bench_commit() == head
+    (tmp_path / "f.txt").write_text("b")
+    assert bench_commit() == f"{head}-dirty"
 
 
 class TestCheckRegressions:

@@ -7,9 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.edgesim.fleet import FleetConfig, FleetSimulator, _fifo_ends, _SlotPool
+from repro.edgesim.fleet import FleetConfig, FleetSimulator, _SlotPool
 from repro.edgesim.network import RegionalNetwork, StarNetwork
+from repro.edgesim.shard import result_digest
 from repro.errors import ConfigurationError
+
+from tests.edgesim.fleet_oracle import fifo_ends
 
 
 def _run(**overrides):
@@ -50,6 +53,20 @@ class TestFleetRun:
         assert first.latency_mean_s == second.latency_mean_s
         assert first.latency_p99_s == second.latency_p99_s
         assert [w.start_s for w in first.windows] == [w.start_s for w in second.windows]
+
+    def test_repeat_runs_on_one_instance_identical(self):
+        # Node liveness, busy horizons and round-robin pointers are per-run
+        # state: a second run of the same simulator must not inherit them.
+        simulator = FleetSimulator.build(
+            FleetConfig(
+                n_nodes=2000, n_regions=16, duration_s=10.0, arrival_rate_hz=60.0,
+                churn_rate_hz=2.0, seed=0,
+            )
+        )
+        first = simulator.run_fleet()
+        second = simulator.run_fleet()
+        assert first.failures > 0
+        assert result_digest(first) == result_digest(second)
 
     def test_seed_changes_outcome(self):
         assert _run(seed=1).latency_mean_s != _run(seed=2).latency_mean_s
@@ -93,6 +110,15 @@ class TestFleetRun:
     def test_peak_in_flight_below_arrivals(self):
         result = _run(duration_s=30.0)
         assert 0 < result.peak_in_flight < result.arrivals
+
+    def test_build_rejects_region_without_nodes(self):
+        config = FleetConfig(n_nodes=4, n_regions=2)
+        with pytest.raises(ConfigurationError):
+            FleetSimulator.build(config, region=np.array([0, 0, 0, 0]))
+        with pytest.raises(ConfigurationError):
+            FleetSimulator.build(config, region=np.array([0, 1, 2, 1]))
+        with pytest.raises(ConfigurationError):
+            FleetSimulator.build(config, region=np.array([0, 1, -1, 1]))
 
     def test_run_fleet_requires_build(self):
         nodes = [__import__("repro.edgesim.node", fromlist=["make_node"]).make_node("rpi-b", 0)]
@@ -158,5 +184,37 @@ class TestFifoEnds:
             start = max(r, busy)
             busy = start + d
             expected.append(busy)
-        got = _fifo_ends(ready, durations, busy0)
+        got = fifo_ends(ready, durations, busy0)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+#: result_digest of run_fleet() for fixed configs. The vectorized cohort
+#: kernels must reproduce the per-region / per-node engine they replaced
+#: bit for bit, so these never change unless the simulation model does.
+GOLDEN_DIGESTS = [
+    (dict(n_nodes=400, n_regions=4, duration_s=20.0, churn_rate_hz=2.0, seed=1),
+     "4bb0464ecae47819"),
+    # Churn fast enough to take whole regions down: 48 drops.
+    (dict(n_nodes=40, n_regions=4, duration_s=30.0, arrival_rate_hz=40.0,
+          churn_rate_hz=5.0, recovery_s=20.0, seed=3),
+     "45e5d5f438c64d03"),
+    # One node per region.
+    (dict(n_nodes=8, n_regions=8, duration_s=30.0, arrival_rate_hz=30.0,
+          churn_rate_hz=3.0, recovery_s=10.0, seed=5),
+     "fdafe2b4c978a7a2"),
+    (dict(n_nodes=10_000, n_regions=80, arrival_rate_hz=300.0, duration_s=30.0,
+          sampler="gauss_poisson", seed=2),
+     "d0b11f4d2733468a"),
+    # The end-to-end fleet benchmark's config (perfbench/config.py FLEET).
+    (dict(n_nodes=100_000, n_regions=800, arrival_rate_hz=3000.0, duration_s=20.0,
+          churn_rate_hz=300.0, recovery_s=5.0, seed=0),
+     "af30aa139c06f054"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, digest", GOLDEN_DIGESTS, ids=[d for _, d in GOLDEN_DIGESTS]
+)
+def test_golden_digest(overrides, digest):
+    result = FleetSimulator.build(FleetConfig(**overrides)).run_fleet()
+    assert result_digest(result) == digest
