@@ -157,6 +157,90 @@ def ideal_power(
     )
 
 
+class ScenarioTable:
+    """The θ-independent half of H over one plant and a list of scenarios.
+
+    Holds, per ``(load_kw, outdoor_temp)`` scenario, the candidate subsets
+    (:func:`_candidate_subsets`) and each subset's true power; and, per
+    distinct operating point ``(chiller, plr, outdoor_temp)`` a subset
+    runs a machine at, its load share ``plr * capacity_kw``.
+    :meth:`score` then prices any vector of believed COPs over those
+    points, so a caller that asks for H under many beliefs (leave-one-out
+    and Shapley importance) builds the table once and re-prices only COPs.
+
+    The score is bitwise the scalar loop's: each subset's power is summed
+    over its members in member order, left to right, and the chosen subset
+    is the first one with the lowest predicted power.
+
+    Attributes
+    ----------
+    points:
+        ``(chiller index, plr, outdoor_temp)`` of every operating point;
+        :meth:`score` takes one COP per point, in this order.
+    """
+
+    def __init__(
+        self,
+        chillers: Sequence[Chiller],
+        scenarios: Sequence[tuple[float, float]],
+        *,
+        min_plr: float = MIN_PLR,
+    ) -> None:
+        if not scenarios:
+            raise DataError("decision_performance needs at least one scenario")
+        index: dict[tuple[int, float, float], int] = {}
+        self.points: list[tuple[int, float, float]] = []
+        shares: list[float] = []
+        true_cops: list[float] = []
+        grid: list[list[list[int]]] = []
+        for load_kw, outdoor_temp in scenarios:
+            _check_inputs(chillers, load_kw)
+            subsets = []
+            for members, plr in _candidate_subsets(chillers, load_kw, min_plr):
+                row = []
+                for i in members:
+                    key = (i, plr, outdoor_temp)
+                    if key not in index:
+                        index[key] = len(self.points)
+                        self.points.append(key)
+                        shares.append(plr * chillers[i].capacity_kw)
+                        true_cops.append(_true_cop(chillers[i], plr, outdoor_temp))
+                    row.append(index[key])
+                subsets.append(row)
+            grid.append(subsets)
+        # Padded (scenario, subset, member) layout. Padding members point
+        # at an extra point with share 0 and COP 1, so they add exactly
+        # 0.0; padding subsets carry +inf power, so they are never chosen.
+        pad = len(self.points)
+        width = max(len(subsets) for subsets in grid)
+        depth = max(len(row) for subsets in grid for row in subsets)
+        self._members = np.full((len(grid), width, depth), pad, dtype=np.intp)
+        self._missing = np.full((len(grid), width), np.inf)
+        for s, subsets in enumerate(grid):
+            self._missing[s, : len(subsets)] = 0.0
+            for c, row in enumerate(subsets):
+                self._members[s, c, : len(row)] = row
+        self._member_shares = np.append(shares, 0.0)[self._members]
+        self._true_power = self._power(np.asarray(true_cops))
+        self._best_true = self._true_power.min(axis=1)
+
+    def _power(self, cops: np.ndarray) -> np.ndarray:
+        """(scenario, subset) power under ``cops``; +inf for padding."""
+        terms = self._member_shares / np.append(cops, 1.0)[self._members]
+        power = terms[:, :, 0] + self._missing
+        for k in range(1, terms.shape[2]):
+            power += terms[:, :, k]
+        return power
+
+    def score(self, cops: np.ndarray) -> float:
+        """H when subsets are chosen under ``cops`` (one per point)."""
+        chosen = self._power(cops).argmin(axis=1)
+        chosen_true = self._true_power[np.arange(chosen.size), chosen]
+        best_true = self._best_true
+        scores = np.maximum(1.0 - np.abs(chosen_true - best_true) / best_true, 0.0)
+        return float(np.mean(scores))
+
+
 def decision_performance(
     chillers: Sequence[Chiller],
     scenarios: Sequence[tuple[float, float]],
@@ -169,29 +253,11 @@ def decision_performance(
     For each scenario the subset is chosen under ``cop_fn`` (the belief θ)
     but billed at the true COPs; the score compares that realized power to
     the ideal-operator power and clips to ``[0, 1]``. A ``cop_fn`` that
-    reproduces the true COPs scores exactly 1.
+    reproduces the true COPs scores exactly 1. ``cop_fn`` is called once
+    per distinct operating point.
     """
-    if not scenarios:
-        raise DataError("decision_performance needs at least one scenario")
+    table = ScenarioTable(chillers, scenarios, min_plr=min_plr)
     cop = cop_fn if cop_fn is not None else _true_cop
-    scores = []
-    for load_kw, outdoor_temp in scenarios:
-        _check_inputs(chillers, load_kw)
-        best_true: float | None = None
-        chosen_true: float | None = None
-        chosen_predicted: float | None = None
-        for members, plr in _candidate_subsets(chillers, load_kw, min_plr):
-            true_power = 0.0
-            predicted_power = 0.0
-            for i in members:
-                chiller = chillers[i]
-                share = plr * chiller.capacity_kw
-                true_power += share / _true_cop(chiller, plr, outdoor_temp)
-                predicted_power += share / cop(chiller, plr, outdoor_temp)
-            if best_true is None or true_power < best_true:
-                best_true = true_power
-            if chosen_predicted is None or predicted_power < chosen_predicted:
-                chosen_predicted = predicted_power
-                chosen_true = true_power
-        scores.append(max(0.0, 1.0 - abs(chosen_true - best_true) / best_true))
-    return float(np.mean(scores))
+    return table.score(
+        np.array([cop(chillers[i], plr, temp) for i, plr, temp in table.points], dtype=float)
+    )

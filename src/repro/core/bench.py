@@ -37,6 +37,7 @@ import json
 import platform
 import subprocess
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -727,41 +728,30 @@ def _bench_importance(results, rounds, commit, quick, jobs, notes) -> None:
         ).importance_for_day(1)
 
     if jobs > 1:
-        timings = _timed_interleaved(
-            {
-                "loo1": lambda: loo(1),
-                "looN": lambda: loo(jobs),
-                "shap1": lambda: shapley(1),
-                "shapN": lambda: shapley(jobs),
-            },
-            rounds,
-        )
-        loo1_s, loo1_std, loo1 = timings["loo1"]
-        loon_s, loon_std, loon = timings["looN"]
-        shap1_s, shap1_std, shap1 = timings["shap1"]
-        shapn_s, shapn_std, shapn = timings["shapN"]
-        record(results, "loo_importance_jobs1", loo1_s, rounds, std_s=loo1_std, commit=commit)
-        record(
-            results, "shapley_importance_jobs1", shap1_s, rounds, std_s=shap1_std, commit=commit
-        )
-        record(
-            results, f"loo_importance_jobs{jobs}", loon_s, rounds, std_s=loon_std, commit=commit
-        )
-        record(
-            results,
-            f"shapley_importance_jobs{jobs}",
-            shapn_s,
-            rounds,
-            std_s=shapn_std,
-            commit=commit,
-        )
-        if not np.array_equal(loo1, loon) or not np.array_equal(shap1, shapn):
-            raise AssertionError("importance at jobs=N diverged from jobs=1")
-        notes.append(
-            f"importance speedup at jobs={jobs}: "
-            f"LOO {loo1_s / max(loon_s, 1e-9):.2f}x, "
-            f"Shapley {shap1_s / max(shapn_s, 1e-9):.2f}x (byte-identical)"
-        )
+        # jobs=2 always, plus the requested fan-out, so one run records
+        # every committed *_jobsN pair.
+        fanouts = sorted({2, jobs})
+        variants = {"loo1": lambda: loo(1), "shap1": lambda: shapley(1)}
+        for n in fanouts:
+            variants[f"loo{n}"] = partial(loo, n)
+            variants[f"shap{n}"] = partial(shapley, n)
+        timings = _timed_interleaved(variants, rounds)
+        for family, key in (("loo_importance", "loo"), ("shapley_importance", "shap")):
+            for n in (1, *fanouts):
+                mean_s, std_s, _ = timings[f"{key}{n}"]
+                record(results, f"{family}_jobs{n}", mean_s, rounds, std_s=std_s, commit=commit)
+        for n in fanouts:
+            for key in ("loo", "shap"):
+                if not np.array_equal(timings[f"{key}1"][2], timings[f"{key}{n}"][2]):
+                    raise AssertionError(f"importance at jobs={n} diverged from jobs=1")
+            speedup = {
+                key: timings[f"{key}1"][0] / max(timings[f"{key}{n}"][0], 1e-9)
+                for key in ("loo", "shap")
+            }
+            notes.append(
+                f"importance speedup at jobs={n}: LOO {speedup['loo']:.2f}x, "
+                f"Shapley {speedup['shap']:.2f}x (byte-identical)"
+            )
     else:
         loo1_s, loo1_std, _ = _timed(lambda: loo(1), rounds)
         record(results, "loo_importance_jobs1", loo1_s, rounds, std_s=loo1_std, commit=commit)

@@ -272,5 +272,9 @@ class DCTASystem:
         selected = set(int(t) for t in selected_task_ids)
         if not selected:
             raise DataError("selected task set must not be empty")
-        reduced = self.model_set.restricted_to(selected)
-        return MTLDecisionModel(self.dataset, reduced).overall_performance(day)
+        absent = frozenset(self.model_set.task_ids) - selected
+        if len(absent) == len(self.model_set):
+            raise DataError("restriction produced an empty task set")
+        return MTLDecisionModel(self.dataset, self.model_set).overall_performance(
+            day, absent=absent
+        )

@@ -38,6 +38,25 @@ from repro.errors import ConfigurationError, DataError, SimulationError
 from repro.telemetry import get_registry, span
 
 
+#: One shared tuple per distinct (task_id, node_id) pair of plain ints, so
+#: a retained plan (allocation caches, per-epoch histories) costs a pointer
+#: per assignment rather than a fresh pair tuple. Bounded: past the cap,
+#: new pairs are kept as given.
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+_MAX_SHARED_PAIRS = 1 << 16
+
+
+def _shared_pair(pair):
+    if type(pair) is not tuple or not all(type(v) is int for v in pair):
+        return pair
+    shared = _PAIRS.get(pair)
+    if shared is None:
+        if len(_PAIRS) >= _MAX_SHARED_PAIRS:
+            return pair
+        shared = _PAIRS[pair] = pair
+    return shared
+
+
 @dataclass(frozen=True)
 class ExecutionPlan:
     """Ordered dispatch plan: (task_id, node_id) pairs plus planning cost.
@@ -51,8 +70,10 @@ class ExecutionPlan:
     label: str = "plan"
 
     def __post_init__(self) -> None:
+        assignments = tuple(_shared_pair(pair) for pair in self.assignments)
+        object.__setattr__(self, "assignments", assignments)
         seen = set()
-        for task_id, _node_id in self.assignments:
+        for task_id, _node_id in assignments:
             if task_id in seen:
                 raise DataError(f"task {task_id} appears twice in the plan")
             seen.add(task_id)

@@ -22,12 +22,17 @@ per-permutation marginal rows in draw order before reducing. Coalition
 values are deterministic, and the reduction order is fixed, so ``jobs=1``
 and ``jobs=N`` produce byte-identical importance vectors. A
 cross-permutation (and cross-call, per day) coalition-value cache removes
-the repeated H evaluations that make the estimator expensive.
+the repeated H evaluations that make the estimator expensive. Every
+coalition value is read off the day's operating-point tables
+(:class:`~repro.transfer.decision.OperatingPointTable`) — the same H
+kernel leave-one-out importance uses — so COPs are predicted once per
+call, not once per coalition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,39 +44,36 @@ from repro.parallel import (
     get_worker_pool,
     resolve_shared,
 )
-from repro.transfer.decision import MTLDecisionModel
+from repro.transfer.decision import (
+    MTLDecisionModel,
+    OperatingPointTable,
+    tables_performance,
+)
 from repro.transfer.task import TaskModelSet
 from repro.utils.rng import as_rng
 
 #: Rough serial cost of one sampled permutation (n_tasks coalition
-#: evaluations); feeds the pool's work-vs-overhead fan-out decision.
-EST_SHAPLEY_S_PER_PERMUTATION = 0.1
+#: evaluations; the quick ``repro bench`` workload, ~2 ms on one 2-vCPU VM
+#: core); feeds the pool's work-vs-overhead fan-out decision.
+EST_SHAPLEY_S_PER_PERMUTATION = 0.002
 
 
 def _coalition_value(
-    dataset: BuildingOperationDataset,
+    tables: Sequence[OperatingPointTable],
     model_set: TaskModelSet,
     task_ids: list[int],
-    day: int,
     cache: dict,
 ) -> float:
-    """H of the coalition (empty coalition = all-nameplate sequencing)."""
+    """H of the coalition: every task outside it is absent.
+
+    The empty coalition marks every task absent (all-nameplate sequencing).
+    """
     key = frozenset(task_ids)
     cached = cache.get(key)
-    if cached is not None:
-        return cached
-    if task_ids:
-        restricted = model_set.restricted_to(task_ids)
-        # Include unfitted placeholders for the remaining tasks so the
-        # lookup falls back to nameplate for them.
-        value = MTLDecisionModel(dataset, restricted).overall_performance(day)
-    else:
-        from repro.transfer.task import LearningTask
-
-        bare = TaskModelSet([LearningTask(data=t.data, model=None) for t in model_set])
-        value = MTLDecisionModel(dataset, bare).overall_performance(day)
-    cache[key] = value
-    return value
+    if cached is None:
+        absent = frozenset(model_set.task_ids) - key
+        cached = cache[key] = tables_performance(tables, absent)
+    return cached
 
 
 def _permutation_marginals(
@@ -83,13 +85,14 @@ def _permutation_marginals(
 ) -> np.ndarray:
     """(len(orders), n_tasks) marginal-contribution rows, one per ordering."""
     task_ids = model_set.task_ids
+    tables = MTLDecisionModel(dataset, model_set).day_tables(day)
     rows = np.zeros((len(orders), len(task_ids)))
     for row, order in enumerate(orders):
         coalition: list[int] = []
-        previous = _coalition_value(dataset, model_set, coalition, day, cache)
+        previous = _coalition_value(tables, model_set, coalition, cache)
         for position in order:
             coalition = coalition + [task_ids[position]]
-            current = _coalition_value(dataset, model_set, coalition, day, cache)
+            current = _coalition_value(tables, model_set, coalition, cache)
             rows[row, position] = current - previous
             previous = current
     return rows
@@ -164,7 +167,8 @@ class ShapleyImportanceEvaluator:
     # ------------------------------------------------------------------
     def _coalition_value(self, task_ids: list[int], day: int, cache: dict) -> float:
         """H of the coalition — kept public-ish for the efficiency-axiom tests."""
-        return _coalition_value(self.dataset, self.model_set, list(task_ids), day, cache)
+        tables = MTLDecisionModel(self.dataset, self.model_set).day_tables(day)
+        return _coalition_value(tables, self.model_set, list(task_ids), cache)
 
     def _cache_for(self, day: int) -> dict:
         if len(self._value_caches) > 64:  # bound cross-call growth

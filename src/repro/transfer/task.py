@@ -48,10 +48,14 @@ class TaskModelSet:
 
     def __init__(self, tasks: Iterable[LearningTask]) -> None:
         self._tasks: dict[int, LearningTask] = {}
+        #: (building_id, chiller_id) -> the machine's tasks, in insertion order.
+        self._by_machine: dict[tuple[int, int], list[LearningTask]] = {}
         for task in tasks:
             if task.task_id in self._tasks:
                 raise DataError(f"duplicate task id {task.task_id}")
             self._tasks[task.task_id] = task
+            machine = (task.data.building_id, task.data.chiller_id)
+            self._by_machine.setdefault(machine, []).append(task)
         if not self._tasks:
             raise DataError("TaskModelSet must contain at least one task")
 
@@ -88,14 +92,14 @@ class TaskModelSet:
             raise DataError("restriction produced an empty task set")
         return TaskModelSet(members)
 
+    def tasks_for(self, building_id: int, chiller_id: int) -> tuple[LearningTask, ...]:
+        """Every task of one machine, in insertion order."""
+        return tuple(self._by_machine.get((building_id, chiller_id), ()))
+
     def lookup(self, building_id: int, chiller_id: int, plr: float) -> LearningTask | None:
-        """The task covering (chiller, PLR band), or None if absent/dropped."""
-        for task in self._tasks.values():
-            data = task.data
-            if (
-                data.building_id == building_id
-                and data.chiller_id == chiller_id
-                and data.band[0] <= plr < data.band[1]
-            ):
+        """The first task covering (chiller, PLR band), or None if absent/dropped."""
+        for task in self._by_machine.get((building_id, chiller_id), ()):
+            low, high = task.data.band
+            if low <= plr < high:
                 return task
         return None

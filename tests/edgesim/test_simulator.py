@@ -121,3 +121,12 @@ class TestEdgeSimulator:
         b = simulator.run(tasks, plan)
         assert a.processing_time == b.processing_time
         assert a.completion_times == b.completion_times
+
+
+def test_plans_share_equal_assignment_pairs():
+    first = ExecutionPlan(assignments=((0, 1), (1, 2)))
+    second = ExecutionPlan(assignments=tuple([(0, 1), (1, 2)]))
+    assert first.assignments == second.assignments
+    assert all(a is b for a, b in zip(first.assignments, second.assignments))
+    numpy_pairs = ExecutionPlan(assignments=((np.int64(0), 1),))
+    assert type(numpy_pairs.assignments[0][0]) is np.int64

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DataError, NotFittedError
 from repro.transfer.task import LearningTask, TaskModelSet
@@ -91,3 +93,43 @@ class TestTaskModelSet:
         assert model_set.lookup(0, 1, 0.3).task_id == 2
         assert model_set.lookup(0, 1, 0.7) is None
         assert model_set.lookup(5, 0, 0.3) is None
+
+
+def _scan_lookup(tasks, building_id, chiller_id, plr):
+    """The linear scan the machine index replaced: first match in insertion order."""
+    for task in tasks:
+        data = task.data
+        if (
+            data.building_id == building_id
+            and data.chiller_id == chiller_id
+            and data.band[0] <= plr < data.band[1]
+        ):
+            return task
+    return None
+
+
+_EDGES = (0.0, 0.2, 0.35, 0.5, 0.65, 0.8, 1.0, 1.000001)
+_band = st.tuples(st.sampled_from(_EDGES), st.sampled_from(_EDGES))
+_machine = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    specs=st.lists(st.tuples(_machine, _band), min_size=1, max_size=12),
+    queries=st.lists(
+        st.tuples(_machine, st.one_of(st.sampled_from(_EDGES), st.floats(-0.1, 1.1))),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_indexed_lookup_equals_linear_scan(specs, queries):
+    """Same first match in insertion order, with PLRs drawn on band edges."""
+    tasks = [
+        LearningTask(_stub_task(i, building=b, chiller=c, band=band), _ConstantModel(float(i)))
+        for i, ((b, c), band) in enumerate(specs)
+    ]
+    model_set = TaskModelSet(tasks)
+    for (building_id, chiller_id), plr in queries:
+        assert model_set.lookup(building_id, chiller_id, plr) is _scan_lookup(
+            tasks, building_id, chiller_id, plr
+        )
