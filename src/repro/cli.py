@@ -573,10 +573,7 @@ def _command_edgesim(args: argparse.Namespace) -> int:
                 f"{result.duration_s:g}s simulated in {wall:.2f}s wall "
                 f"({rate:,.0f} events/s)"
             )
-            print(
-                f"  sharded: {run.shards} shard(s) x {run.groups} region groups, "
-                f"{run.barrier_crossings} lookahead barrier crossings"
-            )
+            print(f"  sharded: {run.shards} shard(s) x {run.groups} region groups")
             print(f"  digest: {result_digest(result)}")
         else:
             simulator = FleetSimulator.build(config)

@@ -390,7 +390,6 @@ def run_bench(
             _bench_stacked_train(results, rounds, commit, quick, notes)
             _bench_dqn(results, rounds, commit, quick)
             _bench_rollout_batch(results, rounds, commit, quick, notes)
-            _bench_mlp_fit(results, rounds, commit, quick, notes)
             _bench_importance(results, rounds, commit, quick, jobs, notes)
             _bench_edgesim(results, rounds, commit, quick)
             _bench_fleet(results, rounds, commit, quick, notes)
@@ -585,58 +584,6 @@ def _bench_rollout_batch(results, rounds, commit, quick, notes) -> None:
     notes.append(
         f"batched rollouts: {serial_s / max(batch_s, 1e-9):.2f}x over serial "
         "solves (allocations identical)"
-    )
-
-
-def _bench_mlp_fit(results, rounds, commit, quick, notes) -> None:
-    """Fused-cache MLPRegressor training vs the naive per-batch loop.
-
-    The naive variant replays exactly what ``fit`` did before the fused
-    epoch driver — one ``train_batch`` (allocate, forward, backward) per
-    mini-batch slice — on an identically seeded network, then the two
-    parameter vectors are asserted bit-equal.
-    """
-    from repro.ml.mlp_regressor import MLPRegressor
-    from repro.ml.neural import MLP, Adam
-    from repro.ml.preprocessing import StandardScaler
-    from repro.utils.rng import as_rng
-
-    data_rng = np.random.default_rng(9)
-    X = data_rng.normal(size=(256 if quick else 512, 12))
-    y = np.sin(X @ data_rng.normal(size=12)) + 0.1 * data_rng.normal(size=X.shape[0])
-    epochs, batch_size, seed = 40 if quick else 120, 32, 3
-
-    def fused():
-        model = MLPRegressor(
-            hidden_sizes=(32, 16), epochs=epochs, batch_size=batch_size, seed=seed
-        )
-        model.fit(X, y)
-        return model.network_._flat_params.copy()
-
-    def naive():
-        scaler = StandardScaler().fit(X)
-        scaled_x = scaler.transform(X)
-        scaled_y = ((y - float(y.mean())) / (float(y.std()) or 1.0)).reshape(-1, 1)
-        network = MLP((X.shape[1], 32, 16, 1), optimizer=Adam(1e-3), seed=seed)
-        rng = as_rng(seed)
-        n = scaled_x.shape[0]
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                index = order[start : start + batch_size]
-                network.train_batch(scaled_x[index], scaled_y[index])
-        return network._flat_params.copy()
-
-    timings = _timed_interleaved({"fused": fused, "naive": naive}, rounds)
-    fused_s, fused_std, fused_params = timings["fused"]
-    naive_s, naive_std, naive_params = timings["naive"]
-    if not np.array_equal(fused_params, naive_params):
-        raise AssertionError("fused MLP training diverged from the naive loop")
-    record(results, "mlp_fit_fused", fused_s, rounds, std_s=fused_std, commit=commit)
-    record(results, "mlp_fit_naive", naive_s, rounds, std_s=naive_std, commit=commit)
-    notes.append(
-        f"fused MLP fit: {naive_s / max(fused_s, 1e-9):.2f}x over naive loop "
-        "(parameters bit-identical)"
     )
 
 
@@ -894,9 +841,11 @@ def _bench_fleet_sharded(results, rounds, commit, quick, notes) -> None:
     where the pool would otherwise decline to fan out. The scale entries
     then run the sharded engine at 100k and 1M nodes (same region/arrival
     scaling rule as ``_bench_fleet``) and record events/sec, peak RSS
-    (MiB), shard/group counts and barrier crossings as extras. On >= 4
-    cores the 100k entry also times the single-process ``shards=1`` run
-    and asserts the sharded engine clears 2x its events/s.
+    (MiB) and shard/group counts as extras. Like ``_bench_fleet``'s scale
+    entries, each runs one untimed warm-up and then ``max(3, rounds)``
+    timed rounds, so ``std_s`` reflects run-to-run noise. On >= 4 cores
+    the 100k entry also times the single-process ``shards=1`` run and
+    asserts the sharded engine clears 2x its events/s.
     """
     import os
 
@@ -924,7 +873,7 @@ def _bench_fleet_sharded(results, rounds, commit, quick, notes) -> None:
         f"(digest {digest})"
     )
 
-    scale_rounds = 1
+    scale_rounds = max(3, rounds)
     for label, n_nodes, duration in (
         ("edgesim_fleet_sharded_100k", 100_000, 5.0 if quick else 20.0),
         ("edgesim_fleet_sharded_1m", 1_000_000, 2.0 if quick else 10.0),
@@ -938,6 +887,7 @@ def _bench_fleet_sharded(results, rounds, commit, quick, notes) -> None:
             churn_rate_hz=2.0,
             seed=0,
         )
+        run_fleet_sharded(config, shards=shards)  # untimed warm-up
         mean_s, std_s, run = _timed(
             lambda config=config: run_fleet_sharded(config, shards=shards),
             scale_rounds,
@@ -951,7 +901,6 @@ def _bench_fleet_sharded(results, rounds, commit, quick, notes) -> None:
             "completed": run.result.completed,
             "shards": run.shards,
             "groups": run.groups,
-            "barrier_crossings": run.barrier_crossings,
             "peak_rss_mib": round(rss_mib, 1),
         }
         if label == "edgesim_fleet_sharded_100k" and cpus >= 4 and run.shards > 1:

@@ -18,7 +18,7 @@ testbed epoch workload (``run``) and additionally scales to open-loop
 fleets of 10k-100k nodes with hierarchical regional topologies, node
 churn, and O(nodes + windows) streaming metrics (``run_fleet``).
 :func:`run_fleet_sharded` takes the fleet engine multiprocess: region
-groups run as independent conservative-DES shards on the worker pool
+groups run as independent shards on the worker pool
 and merge into one bitwise-deterministic :class:`FleetResult`, opening
 the 1M+ node regime.
 """
@@ -30,7 +30,6 @@ from repro.edgesim.workload import FleetWorkload, SimTask, WorkloadGenerator
 from repro.edgesim.simulator import EdgeSimulator, ExecutionPlan, SimResult
 from repro.edgesim.fleet import FleetConfig, FleetResult, FleetSimulator
 from repro.edgesim.shard import (
-    LookaheadBarrier,
     ShardedRun,
     plan_groups,
     result_digest,
@@ -59,7 +58,6 @@ __all__ = [
     "FleetSimulator",
     "FleetConfig",
     "FleetResult",
-    "LookaheadBarrier",
     "ShardedRun",
     "plan_groups",
     "result_digest",

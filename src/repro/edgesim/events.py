@@ -250,17 +250,6 @@ class CalendarQueue:
         self.now = max(self.now, t)
         return t, int(kinds[i]), int(a[i]), int(b[i])
 
-    def peek_time(self) -> float | None:
-        """Time of the next event without popping it (or ``None`` if empty).
-
-        Does not advance the clock. Used by the conservative sharded runner
-        to decide whether the head event is still inside the current
-        lookahead window or a barrier must be crossed first.
-        """
-        if not self._ensure_current():
-            return None
-        return float(self._cur[0][self._cur_pos])
-
     def pop_cohort(self) -> tuple | None:
         """Pop every unprocessed event of the head event's kind, this bucket.
 

@@ -685,7 +685,7 @@ class FleetSimulator:
         ).inc(result.events)
         return result
 
-    def _run_fleet(self, config: FleetConfig, *, trace=None, barrier=None) -> FleetResult:
+    def _run_fleet(self, config: FleetConfig, *, trace=None) -> FleetResult:
         network: RegionalNetwork = self.network
         n_regions = config.n_regions
         arrival_seed, workload_seed, churn_seed, churn_node_seed = derive_seeds(
@@ -868,18 +868,6 @@ class FleetSimulator:
 
         refill()
         while True:
-            if barrier is not None:
-                head = calendar.peek_time()
-                if head is not None:
-                    # Conservative sync: before draining past a lookahead
-                    # boundary, close metric windows at the boundary and
-                    # exchange any cross-group events with peers. The
-                    # crossing schedule is a pure function of config, so
-                    # every decomposition ticks identically.
-                    for boundary in barrier.crossings(head):
-                        sim_clock[0] = max(sim_clock[0], boundary)
-                        aggregator.maybe_tick()
-                        barrier.exchange(boundary)
             cohort = calendar.pop_cohort()
             if cohort is None:
                 break

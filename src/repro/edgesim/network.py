@@ -142,16 +142,3 @@ class RegionalNetwork:
     def transfer_time(self, size_mbit: float) -> float:
         """End-to-end uncontended seconds (backhaul + access)."""
         return self.backhaul.transfer_time(size_mbit) + self.access.transfer_time(size_mbit)
-
-    @property
-    def lookahead_s(self) -> float:
-        """Minimum delay before one region can influence another.
-
-        Regions only interact through the controller: any cross-region
-        causal chain rides the backhaul at least twice (region -> controller
-        -> region), each hop paying the fixed protocol latency even for a
-        zero-byte message. A conservative parallel runner may therefore
-        drain each region-group's calendar ``lookahead_s`` ahead of the
-        slowest peer without risking a causality violation.
-        """
-        return 2.0 * self.backhaul.latency_s

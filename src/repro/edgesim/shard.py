@@ -1,4 +1,4 @@
-"""Region-sharded parallel fleet simulation: conservative DES fan-out.
+"""Region-sharded parallel fleet simulation: independent region groups.
 
 :mod:`repro.edgesim.fleet` drains one calendar on one core. This module
 takes the same engine to the whole machine:
@@ -13,20 +13,16 @@ takes the same engine to the whole machine:
   group's event stream is a pure function of ``(config, group index)``
   — never of the process that happens to run it.
 
-- **Conservative synchronization.** Regions only interact through the
-  controller, so no region can affect another sooner than
-  :attr:`~repro.edgesim.network.RegionalNetwork.lookahead_s` (two
-  backhaul latencies). Each group drains its
-  :class:`~repro.edgesim.events.CalendarQueue` cohorts freely inside
-  lookahead windows of that width; at every window boundary the engine
-  closes its metric windows and calls :meth:`LookaheadBarrier.exchange`,
-  the rendezvous where cross-group events would be swapped. In the
-  current fleet physics (open-loop arrivals, same-region redispatch,
-  uncontended result return) the exchange outbox is **provably empty**
-  — ``exchange`` asserts it — which is exactly what licenses running
-  groups to completion without inter-process rendezvous. Physics that
-  routes work across regions would put events in the outbox and turn
-  the assert into a real exchange.
+- **Independence.** Groups share no state and never exchange events,
+  so each runs to completion on its own with no barrier or rendezvous.
+  Three properties of the fleet physics make this exact. Arrivals are
+  open-loop: each group draws its own thinned stream, and nothing a
+  region does feeds back into when work arrives. Redispatch after node
+  churn stays in the failed node's region. Result return rides an
+  uncontended backhaul, so no region's traffic delays another's. The
+  one contended resource, the access radio, is modelled per region, so
+  it lives wholly inside one group. Physics that routes work across
+  regions would break this and need a real exchange between groups.
 
 - **Determinism.** ``shards=1`` and ``shards=N`` run the *same* group
   simulations and merge them in the *same* (group-index) order; integer
@@ -52,7 +48,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -73,58 +68,6 @@ from repro.utils.rng import derive_seeds
 #: keeping per-group cohort batches wide. Fixed by config — NEVER by the
 #: shard/CPU count — or the shards=1 == shards=N contract would break.
 DEFAULT_GROUPS = 16
-
-
-class LookaheadBarrier:
-    """Conservative lookahead-window barrier for one group's drain loop.
-
-    The engine calls :meth:`crossings` with the head event's timestamp
-    before popping each cohort; every yielded boundary is a synchronization
-    point: the engine ticks its metric windows at the boundary, then calls
-    :meth:`exchange`. ``outbox`` holds events destined for other groups —
-    structurally empty under the current fleet physics, which ``exchange``
-    asserts (the conservative-DES safety property: nothing may cross a
-    window boundary unexchanged).
-
-    The boundary grid is ``window_s * k`` for k = 1, 2, ... — a pure
-    function of the network's lookahead, so every decomposition of the
-    same config crosses identical boundaries. Because the outbox is
-    structurally empty between boundaries (nothing to hand over),
-    consecutive crossed boundaries batch into one rendezvous at the last
-    boundary before the head event — ``crossings_count`` still counts
-    every boundary, and physics that actually fills the outbox would
-    revert to yielding each boundary individually.
-    """
-
-    def __init__(self, window_s: float) -> None:
-        if window_s <= 0:
-            raise ConfigurationError(f"window_s must be > 0, got {window_s}")
-        self.window_s = float(window_s)
-        self.crossings_count = 0
-        self.outbox: list = []
-        self._k = 1
-
-    def crossings(self, head_time: float):
-        """Boundaries in ``(previous boundary, head_time]``, batched."""
-        target = int(head_time / self.window_s)
-        if target >= self._k:
-            # Intermediate boundaries carry a provably-empty outbox; skip
-            # straight to the last one (counted, not exchanged).
-            self.crossings_count += target - self._k
-            boundary = target * self.window_s
-            self._k = target + 1
-            yield boundary
-
-    def exchange(self, boundary_t: float) -> None:
-        """The cross-group rendezvous at one window boundary."""
-        self.crossings_count += 1
-        if self.outbox:
-            raise SimulationError(
-                f"conservative window violated: {len(self.outbox)} cross-group "
-                f"event(s) pending at boundary t={boundary_t:.6f}; the current "
-                "fleet physics never routes work across regions, so a non-empty "
-                "outbox means a causality bug"
-            )
 
 
 @dataclass(frozen=True)
@@ -167,7 +110,6 @@ class _GroupOutcome:
     latency_state: tuple
     windows: tuple = field(repr=False)
     windows_dropped: int = 0
-    barrier_crossings: int = 0
 
 
 @dataclass(frozen=True)
@@ -177,7 +119,6 @@ class ShardedRun:
     result: FleetResult
     groups: int
     shards: int
-    barrier_crossings: int
 
 
 def fleet_columns(config: FleetConfig) -> dict[str, np.ndarray]:
@@ -237,12 +178,6 @@ def plan_groups(config: FleetConfig, groups: int | None = None) -> list[_GroupSp
     return specs
 
 
-def _lookahead_window(config: FleetConfig) -> float:
-    network = config.network or RegionalNetwork(n_regions=config.n_regions)
-    lookahead = network.lookahead_s
-    return lookahead if lookahead > 0 else math.inf
-
-
 def _run_group(spec: _GroupSpec, columns: dict) -> _GroupOutcome:
     """Run one region group on its slice of the whole-fleet columns."""
     region = columns["region"]
@@ -253,9 +188,7 @@ def _run_group(spec: _GroupSpec, columns: dict) -> _GroupOutcome:
         s_per_bit=columns["s_per_bit"][ids],
         region=region[ids] - spec.first_region,
     )
-    window_s = _lookahead_window(spec.config)
-    barrier = LookaheadBarrier(window_s) if math.isfinite(window_s) else None
-    result = sim._run_fleet(spec.config, barrier=barrier)
+    result = sim._run_fleet(spec.config)
     return _GroupOutcome(
         index=spec.index,
         arrivals=result.arrivals,
@@ -269,7 +202,6 @@ def _run_group(spec: _GroupSpec, columns: dict) -> _GroupOutcome:
         latency_state=result.latency_state,
         windows=tuple(result.timeseries.windows),
         windows_dropped=result.timeseries.dropped,
-        barrier_crossings=barrier.crossings_count if barrier is not None else 0,
     )
 
 
@@ -417,12 +349,7 @@ def run_fleet_sharded(
         "repro_edgesim_fleet_events_total",
         help="DES events processed by fleet runs",
     ).inc(result.events)
-    return ShardedRun(
-        result=result,
-        groups=n_groups,
-        shards=jobs,
-        barrier_crossings=sum(o.barrier_crossings for o in outcomes),
-    )
+    return ShardedRun(result=result, groups=n_groups, shards=jobs)
 
 
 def result_digest(result: FleetResult) -> str:

@@ -68,16 +68,13 @@ class MLPRegressor(BaseEstimator, RegressorMixin):
             )
         scaled_x = self._scaler.transform(features)
         scaled_y = ((targets - self._target_mean) / self._target_scale).reshape(-1, 1)
-        # Fused-cache epoch driver: same permutations, same minibatch
-        # arithmetic as the naive train_batch loop, without re-allocating
-        # forward/backward buffers every step (byte-identical parameters).
-        self.network_.train_epochs(
-            scaled_x,
-            scaled_y,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            rng=as_rng(self.seed),
-        )
+        rng = as_rng(self.seed)
+        n = scaled_x.shape[0]
+        for _ in range(self.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, self.batch_size):
+                index = order[start : start + self.batch_size]
+                self.network_.train_batch(scaled_x[index], scaled_y[index])
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -16,10 +16,12 @@ guarantees the rest of the pipeline relies on:
   registry and grafts worker spans under a ``parallel.worker`` span in
   the ambient trace (worker spans are re-based onto the parent timeline
   and marked ``clock="worker"``).
-- **Graceful serial fallback** — ``jobs=1``, single-item workloads, or
-  any pickling/pool failure degrade to an in-process loop (counted by
+- **Graceful serial fallback** — ``jobs=1``, single-item workloads, a
+  function or payload that cannot be pickled, or a broken pool degrade
+  to an in-process loop (the last two counted by
   ``repro_parallel_fallbacks_total``); the parallel path is an
-  optimization, never a requirement.
+  optimization, never a requirement. An exception raised *by the worker
+  function* is not a transport failure: it propagates unchanged.
 """
 
 from __future__ import annotations
@@ -70,6 +72,18 @@ def mark_merged(token: str | None) -> bool:
     return True
 
 
+class _WorkerRaised(Exception):
+    """Carries an exception raised by the worker function to the parent.
+
+    Wrapping it keeps it apart from transport failures (pickling, a broken
+    pool), which are the only errors that trigger the serial fallback.
+    """
+
+    def __init__(self, error: BaseException) -> None:
+        super().__init__(error)
+        self.error = error
+
+
 def _run_in_worker(
     fn: Callable, payload, token: str | None = None, trace_id: str | None = None
 ) -> tuple:
@@ -89,7 +103,10 @@ def _run_in_worker(
     registry = MetricsRegistry()
     trace = RunTrace(label="worker")
     with use_registry(registry), use_run_trace(trace), use_trace_id(trace_id):
-        value = fn(payload)
+        try:
+            value = fn(payload)
+        except Exception as exc:
+            raise _WorkerRaised(exc) from exc
     return value, [record.to_dict() for record in trace.spans], snapshot(registry), token
 
 
@@ -288,6 +305,8 @@ class ParallelTrainer:
             return self._map_serial(payloads, trace_ids)
         try:
             return self._map_parallel(payloads, workers, trace_ids)
+        except _WorkerRaised as raised:
+            raise raised.error from raised
         except (pickle.PicklingError, AttributeError, TypeError, BrokenProcessPool, OSError) as exc:
             if isinstance(exc, BrokenProcessPool):
                 get_worker_pool().reset()

@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.ml.neural import MLP, Adam
 from repro.rl.env import AllocationEnv, BatchedAllocationEnv
-from repro.rl.replay import ReplayBuffer, Transition, TransitionBatch
+from repro.rl.replay import ReplayBuffer, Transition
 from repro.tatim.solution import Allocation
 from repro.telemetry import get_registry, span
 from repro.utils.rng import as_rng
@@ -146,11 +146,8 @@ class DQNAgent:
         legality matrix, turned into the additive mask with one
         ``np.where``; otherwise the ragged feasible-index store is
         scattered over flattened (row, action) index arrays — no
-        per-transition Python loop either way. Accepts a
-        :class:`TransitionBatch` or a plain transition list.
+        per-transition Python loop either way.
         """
-        if isinstance(batch, list):
-            batch = TransitionBatch.from_transitions(batch)
         if batch.feasible_mask is not None:
             return np.where(batch.feasible_mask, 0.0, MASKED_Q)
         count = len(batch)
@@ -168,13 +165,7 @@ class DQNAgent:
         """One gradient step on a replay batch; None during warmup."""
         if len(self.buffer) < self.config.warmup_transitions:
             return None
-        sample_batch = getattr(self.buffer, "sample_batch", None)
-        if sample_batch is not None:
-            batch = sample_batch(self.config.batch_size)
-        else:  # injected legacy buffer: column-ize its transition list
-            batch = TransitionBatch.from_transitions(
-                self.buffer.sample(self.config.batch_size)
-            )
+        batch = self.buffer.sample_batch(self.config.batch_size)
         count = len(batch)
 
         mask = self._feasible_mask_matrix(batch)

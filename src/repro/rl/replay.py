@@ -67,7 +67,7 @@ class TransitionBatch:
 
     @classmethod
     def from_transitions(cls, batch: list, n_actions: int | None = None) -> "TransitionBatch":
-        """Column-ize a list of transitions (legacy-buffer adapter path)."""
+        """Column-ize a list of transitions."""
         count = len(batch)
         return cls(
             states=np.stack([t.state for t in batch]),

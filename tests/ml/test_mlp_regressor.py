@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,44 @@ class TestFineTuningClone:
     def test_clone_requires_fit(self):
         with pytest.raises(NotFittedError):
             MLPRegressor().clone_for_finetuning()
+
+
+class TestGoldenParameters:
+    """SHA-256 of the flat parameter vector after ``fit``.
+
+    Pins the training schedule bitwise: one permutation per epoch, slices
+    of ``batch_size`` with a ragged last batch (203 rows / 32), and a
+    warm-start refit of a ``clone_for_finetuning`` copy on 45 rows. A
+    digest change is a real change in how ``fit`` trains.
+    """
+
+    @staticmethod
+    def _digest(model: MLPRegressor) -> str:
+        return hashlib.sha256(model.network_._flat_params.tobytes()).hexdigest()
+
+    @pytest.fixture
+    def fitted(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(203, 6))
+        y = np.sin(X @ rng.normal(size=6)) + 0.1 * rng.normal(size=203)
+        model = MLPRegressor(hidden_sizes=(16, 8), epochs=7, batch_size=32, seed=3)
+        return model.fit(X, y), rng
+
+    def test_ragged_last_batch(self, fitted):
+        model, _ = fitted
+        assert self._digest(model) == (
+            "427eb687b91d350e01e22ae588827a1a93ec10a28d591907b00fbd1bf7cb890d"
+        )
+
+    def test_warm_start_refit(self, fitted):
+        model, rng = fitted
+        tuned = model.clone_for_finetuning()
+        X = rng.normal(size=(45, 6))
+        tuned.fit(X, np.cos(X[:, 0]) + X[:, 1])
+        assert self._digest(tuned) == (
+            "926230a6fc594cbe7af221d863d3e115ba55be61f929cdf396418d03efd391ee"
+        )
+        # The source network is untouched by the copy's refit.
+        assert self._digest(model) == (
+            "427eb687b91d350e01e22ae588827a1a93ec10a28d591907b00fbd1bf7cb890d"
+        )

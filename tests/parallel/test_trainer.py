@@ -35,6 +35,10 @@ def seeded_draw(seed):
     return float(as_rng(seed).random())
 
 
+def raise_type_error(payload):
+    raise TypeError(f"worker bug on payload {payload}")
+
+
 def spin_metrics(payload):
     from repro.telemetry import get_registry, span
 
@@ -101,6 +105,16 @@ class TestMap:
             trainer = ParallelTrainer(lambda p: p + 1, jobs=2, force=True)
             assert trainer.map([1, 2, 3]) == [2, 3, 4]
         assert _counter_total(registry, "repro_parallel_fallbacks_total") == 1
+
+    def test_worker_exception_propagates_without_fallback(self):
+        """A TypeError raised by the worker function is a bug, not a
+        pickling failure: it must surface, not be re-run serially."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            trainer = ParallelTrainer(raise_type_error, jobs=2, force=True)
+            with pytest.raises(TypeError, match="worker bug on payload"):
+                trainer.map([1, 2, 3])
+        assert _counter_total(registry, "repro_parallel_fallbacks_total") == 0
 
     def test_agent_training_identical_serial_vs_parallel(self):
         """The real CRL worker: same seeds, same greedy policy either way."""

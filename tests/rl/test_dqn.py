@@ -88,7 +88,7 @@ class TestTraining:
     def test_masked_q_blocks_infeasible_backup(self, small_env):
         """Infeasible actions never contribute to the Bellman max."""
         agent = DQNAgent(small_env.state_dim, small_env.n_actions, seed=0)
-        from repro.rl.replay import Transition
+        from repro.rl.replay import Transition, TransitionBatch
 
         transition = Transition(
             state=small_env.reset(),
@@ -98,6 +98,7 @@ class TestTraining:
             done=False,
             next_feasible=np.array([1]),
         )
-        mask = agent._feasible_mask_matrix([transition])
+        batch = TransitionBatch.from_transitions([transition])
+        mask = agent._feasible_mask_matrix(batch)
         assert mask[0, 1] == 0.0
         assert mask[0, 0] == MASKED_Q

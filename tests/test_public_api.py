@@ -129,6 +129,18 @@ class TestVersioning:
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
 
+    def test_version_has_one_source(self):
+        """pyproject.toml reads the version from ``repro.__version__``."""
+        from pathlib import Path
+
+        tomllib = pytest.importorskip("tomllib")
+        path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(path.read_text())
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        dynamic = config["tool"]["setuptools"]["dynamic"]
+        assert dynamic["version"] == {"attr": "repro.__version__"}
+
     def test_errors_all_derive_from_repro_error(self):
         import repro
         from repro.errors import ReproError
