@@ -68,16 +68,6 @@ def test_perf_edgesim_run_with_failures(track, edgesim_setup):
     assert repeat.tasks_executed == result.tasks_executed
 
 
-def test_perf_fleet_epoch_kernel(track, edgesim_setup):
-    """Vectorized epoch kernel: tracked time plus exact-identity check."""
-    from repro.edgesim.fleet import FleetSimulator
-
-    simulator, workload, plan, nodes = edgesim_setup
-    fleet = FleetSimulator(list(simulator.nodes.values()), simulator.network)
-    result = track("edgesim_fleet_epoch_kernel", lambda: fleet.run(workload, plan))
-    assert result == simulator.run(workload, plan)
-
-
 def test_perf_fleet_open_loop_1k(track):
     """Open-loop fleet run at 1k nodes; deterministic across repeats."""
     from repro.edgesim.fleet import FleetConfig, FleetSimulator

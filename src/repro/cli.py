@@ -604,15 +604,7 @@ def _command_edgesim(args: argparse.Namespace) -> int:
             print(f"  timeseries: {len(result.windows)} windows -> {args.fleet_timeseries_out}")
         return 0
 
-    # Default: one testbed epoch through the vectorized kernel, checked
-    # against the reference per-event simulator.
-    from repro.edgesim import (
-        EdgeSimulator,
-        ExecutionPlan,
-        FleetSimulator,
-        WorkloadGenerator,
-        paper_testbed,
-    )
+    from repro.edgesim import EdgeSimulator, ExecutionPlan, WorkloadGenerator, paper_testbed
 
     nodes, network = paper_testbed()
     tasks = WorkloadGenerator(n_tasks=args.tasks, seed=args.seed).draw()
@@ -623,15 +615,13 @@ def _command_edgesim(args: argparse.Namespace) -> int:
         ),
         label="cli-smoke",
     )
-    fast = FleetSimulator(nodes, network).run(tasks, plan)
-    reference = EdgeSimulator(nodes, network).run(tasks, plan)
-    match = "exact match" if fast == reference else "MISMATCH vs reference"
+    result = EdgeSimulator(nodes, network).run(tasks, plan)
     print(
         f"epoch: {len(tasks)} tasks on {len(nodes)} nodes -> "
-        f"PT {fast.processing_time:.2f}s, {fast.tasks_executed} completed, "
-        f"gate {'crossed' if fast.gate_crossed else 'missed'} ({match})"
+        f"PT {result.processing_time:.2f}s, {result.tasks_executed} completed, "
+        f"gate {'crossed' if result.gate_crossed else 'missed'}"
     )
-    return 0 if fast == reference else 1
+    return 0
 
 
 def _command_loadgen(args: argparse.Namespace) -> int:

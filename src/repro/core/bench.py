@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.experiment import PTExperiment, build_allocators
+from repro.core.experiment import build_allocators
 from repro.core.scenario import ScenarioConfig, SyntheticScenario
 from repro.allocation.base import EpochContext
 from repro.edgesim.testbed import scaled_testbed
@@ -736,55 +736,14 @@ def _bench_edgesim(results, rounds, commit, quick) -> None:
 
 
 def _bench_fleet(results, rounds, commit, quick, notes) -> None:
-    """Vectorized fleet engine: epoch-kernel speedup plus 10k/100k scale runs.
+    """Vectorized fleet engine: 10k/100k-node scale runs.
 
-    The kernel entry interleaves ``FleetSimulator.run`` against the
-    reference ``EdgeSimulator.run`` on the same testbed workload and
-    asserts the results are identical before recording. The scale entries
-    run the open-loop fleet at 10k and 100k nodes (regions and arrival
-    rate scaled together so the access radio sits at the same ~60%
-    utilization as the defaults) and record events/sec and process
+    The entries run the open-loop fleet at 10k and 100k nodes (regions and
+    arrival rate scaled together so the access radio sits at the same
+    ~60% utilization as the defaults) and record events/sec and process
     peak-RSS as informational extras.
     """
     from repro.edgesim.fleet import FleetConfig, FleetSimulator
-    from repro.edgesim.simulator import EdgeSimulator, ExecutionPlan
-    from repro.edgesim.workload import WorkloadGenerator
-
-    nodes, network = scaled_testbed(6)
-    workload = WorkloadGenerator(n_tasks=24 if quick else 50, seed=11).draw()
-    ordered = sorted(workload, key=lambda t: t.true_importance, reverse=True)
-    plan = ExecutionPlan(
-        assignments=tuple(
-            (task.task_id, i % len(nodes)) for i, task in enumerate(ordered)
-        ),
-        label="bench-fleet",
-    )
-    fast = FleetSimulator(nodes, network)
-    reference = EdgeSimulator(nodes, network)
-    timings = _timed_interleaved(
-        {
-            "fleet": lambda: fast.run(workload, plan),
-            "reference": lambda: reference.run(workload, plan),
-        },
-        rounds,
-    )
-    fleet_s, fleet_std, fleet_result = timings["fleet"]
-    ref_s, _, ref_result = timings["reference"]
-    if fleet_result != ref_result:
-        raise AssertionError("fleet epoch kernel diverged from EdgeSimulator")
-    speedup = ref_s / max(fleet_s, 1e-9)
-    record(
-        results,
-        "edgesim_fleet_epoch_kernel",
-        fleet_s,
-        rounds,
-        std_s=fleet_std,
-        commit=commit,
-        extra={"speedup_vs_reference": round(speedup, 3)},
-    )
-    notes.append(
-        f"fleet epoch kernel: {speedup:.2f}x over EdgeSimulator (results identical)"
-    )
 
     # Scale tier: regions sized so each hosts ~125 nodes; arrival rate
     # keeps the per-region radio at the same utilization as the defaults

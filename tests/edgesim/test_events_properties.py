@@ -1,6 +1,6 @@
 """Property tests: the event engines are deterministic total orders.
 
-Both :class:`EventQueue` (per-event heap) and :class:`CalendarQueue`
+Both the ``EventQueue`` oracle (per-event heap) and :class:`CalendarQueue`
 (bucketed calendar) promise the same contract — events drain in
 (time, insertion-sequence) order no matter how schedules interleave with
 pops. Hypothesis drives randomized schedules at both engines and checks
@@ -13,7 +13,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.edgesim.events import CalendarQueue, EventQueue
+from repro.edgesim.events import CalendarQueue
+from tests.edgesim.epoch_oracle import EventQueue
 
 # Times from a coarse grid so equal-time collisions are common: the
 # interesting property is tie-breaking, not float ordering.

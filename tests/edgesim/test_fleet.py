@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.edgesim.fleet import FleetConfig, FleetSimulator, _SlotPool
-from repro.edgesim.network import RegionalNetwork, StarNetwork
+from repro.edgesim.network import RegionalNetwork
 from repro.edgesim.shard import result_digest
 from repro.errors import ConfigurationError
 
@@ -119,12 +119,6 @@ class TestFleetRun:
             FleetSimulator.build(config, region=np.array([0, 1, 2, 1]))
         with pytest.raises(ConfigurationError):
             FleetSimulator.build(config, region=np.array([0, 1, -1, 1]))
-
-    def test_run_fleet_requires_build(self):
-        nodes = [__import__("repro.edgesim.node", fromlist=["make_node"]).make_node("rpi-b", 0)]
-        simulator = FleetSimulator(nodes, StarNetwork())
-        with pytest.raises(ConfigurationError):
-            simulator.run_fleet()
 
 
 class TestFleetMemory:
